@@ -73,10 +73,12 @@ pub struct DropTail {
 
 impl DropTail {
     /// A FIFO holding at most `capacity` packets. A capacity of zero drops
-    /// everything.
+    /// everything. Nothing is reserved up front: the buffer grows as
+    /// packets arrive, so the many mostly idle access-link queues of a
+    /// wide topology cost no memory.
     pub fn new(capacity: usize) -> Self {
         DropTail {
-            buf: VecDeque::with_capacity(capacity.min(4096)),
+            buf: VecDeque::new(),
             capacity,
         }
     }

@@ -924,9 +924,6 @@ impl Simulator {
     pub fn run_until(&mut self, until: SimTime) {
         self.seal();
         self.merged_stats = OnceCell::new();
-        for shard in &mut self.shards {
-            shard.world.stats.set_reserve_hint(until);
-        }
         if self.shards.len() == 1 {
             self.shards[0].run_window(until);
         } else {

@@ -20,6 +20,13 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== workspace tests =="
 cargo test -q --workspace
 
+echo "== benchmark tests (perfbench, outside the workspace) =="
+# perfbench drives the crates through their public API but is not a
+# workspace member, so `--workspace` never builds it: without this step
+# an API change that breaks the benchmark would only show when it runs.
+cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
+python3 -m unittest discover -s perfbench -p 'test_*.py'
+
 cargo build --release -p slowcc-experiments --bin repro
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
