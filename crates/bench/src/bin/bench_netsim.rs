@@ -13,15 +13,9 @@
 //!   dumbbell, repeated after one untimed warmup; reports mean and min
 //!   per-run time plus the event-throughput counters the regression
 //!   gate watches: events/sec, events per injected packet, and the raw
-//!   totals they derive from.
 //!   totals they derive from. Also records `peak_rss_bytes` (process
 //!   `VmHWM`) and a steady-state bytes-per-flow probe from a 64-flow
 //!   dumbbell's `VmRSS` growth.
-//! * **shards** — conservative-parallel scaling: 64 TCP flows on a
-//!   3-hop parking lot (4 delay clusters) at 1, 2 and 4 shards, with a
-//!   byte-identity assertion on the flow/link statistics across shard
-//!   counts. On a single-core host the speedup number measures thread
-//!   overhead, not scaling; the report says so in `warnings`.
 //! * **supervisor_overhead** — the dumbbell again, interleaved A/B with
 //!   and without a fully-armed (never tripping) cooperative budget —
 //!   the wall-clock deadline, livelock bound and cancel flag every
@@ -55,22 +49,17 @@
 //! `bench_netsim --check` re-measures the dumbbell section and compares
 //! it against the committed `BENCH_netsim.json`: the run FAILS (exit 1)
 //! if `mean_ms` regresses by more than 25% or `events_per_sec` drops by
-//! more than 20%. It then re-runs the shard workload at 1 and 4 shards:
-//! statistics divergence always fails; the 4-shard speedup assertion is
-//! skipped (with a printed notice) when this host is single-core or the
-//! committed baseline's `warnings` array carries the single-core
-//! `shards` entry. Finally it re-runs the armed-vs-unarmed supervisor
-//! A/B and fails if the armed budget costs more than 2% events/sec —
+//! more than 20%. It then re-runs the armed-vs-unarmed supervisor A/B
+//! and fails if the armed budget costs more than 2% events/sec —
 //! the budget check must stay cheap enough to sit inside the
 //! simulator's batch loop. It then re-runs the streaming-trace A/B and
 //! fails if the attached sink costs more than 35% wall clock or grows
 //! RSS by more than 64 MiB over the >1M-packet run (the O(1)-memory
 //! contract). Nothing is written in check mode. Set
 //! `SLOWCC_SKIP_BENCH_GATE=1` to skip the comparison (exit 0), e.g. on
-//! known-noisy CI hosts. The committed baseline is parsed with a small
-//! hand-rolled scanner (the vendored `serde_json` shim serializes
-//! only), which is enough because the file is always written by this
-//! binary.
+//! known-noisy CI hosts. The committed baseline is read with a small
+//! hand-rolled number scanner rather than `serde_json::from_str`, which
+//! is enough because the file is always written by this binary.
 
 use std::hint::black_box;
 use std::path::{Path, PathBuf};
@@ -83,7 +72,6 @@ use slowcc_core::tcp::{Tcp, TcpConfig};
 use slowcc_netsim::budget::Budget;
 use slowcc_netsim::event::{EventKind, EventQueue, SchedulerKind};
 use slowcc_netsim::prelude::*;
-use slowcc_netsim::sim::set_default_shards;
 
 #[derive(Serialize)]
 struct Warning {
@@ -126,33 +114,6 @@ struct DumbbellBench {
     /// extra flows (agents, per-flow stats series, queue occupancy).
     /// `null` where `/proc` is unavailable.
     steady_state_bytes_per_flow: Option<f64>,
-}
-
-/// One shard count on the sharded parking-lot workload.
-#[derive(Serialize)]
-struct ShardCell {
-    requested_shards: usize,
-    /// Shards the topology actually sealed into (cluster-limited).
-    sealed_shards: usize,
-    runs: u32,
-    mean_ms: f64,
-    events_per_sec: f64,
-}
-
-/// Conservative-parallel scaling on a 64-flow, 3-hop parking lot
-/// (4 delay clusters, so up to 4 shards engage). The `deterministic`
-/// flag records that every shard count produced byte-identical flow and
-/// link statistics — the contract `--check` re-verifies.
-#[derive(Serialize)]
-struct ShardsBench {
-    flows: usize,
-    hops: usize,
-    sim_secs: u64,
-    deterministic: bool,
-    /// events/sec at 4 shards over 1 shard; meaningless (and flagged in
-    /// `warnings`) on a single-core host, where the threads timeshare.
-    speedup_4_shards: f64,
-    cells: Vec<ShardCell>,
 }
 
 /// `size_of` pins for the structs the hot path copies and scans; the
@@ -229,7 +190,6 @@ struct BenchReport {
     warnings: Vec<Warning>,
     schedulers: Vec<SchedulerBench>,
     dumbbell_4tcp_5s: DumbbellBench,
-    shards: ShardsBench,
     supervisor_overhead: SupervisorBench,
     streaming_trace: StreamingTraceBench,
     packet_bytes: PacketBytes,
@@ -240,15 +200,6 @@ const SINGLE_CORE_WARNING: Warning = Warning {
     section: "quick_sweep",
     message: "available_parallelism is 1: the serial and parallel sweep \
               runs would coincide, so the sweep was skipped",
-};
-
-/// Recorded when the host cannot demonstrate shard parallelism; its
-/// presence in the committed baseline tells `--check` to skip the
-/// shard-speedup assertion (the determinism check always runs).
-const SINGLE_CORE_SHARDS_WARNING: Warning = Warning {
-    section: "shards",
-    message: "available_parallelism is 1: shard workers timeshare one \
-              core, so speedup_4_shards measures overhead, not scaling",
 };
 
 /// Allowed relative regression of `dumbbell_4tcp_5s.mean_ms` in `--check`.
@@ -614,106 +565,6 @@ fn bench_streaming_trace() -> StreamingTraceBench {
     }
 }
 
-/// Shard-scaling workload: 64 TCP flows end-to-end on a 3-hop parking
-/// lot (4 delay clusters). Returns wall seconds, event/packet counters,
-/// the sealed shard count, and a byte-comparable statistics fingerprint.
-fn shard_lot_run() -> (f64, u64, u64, usize, String) {
-    const FLOWS: usize = 64;
-    const HOPS: usize = 3;
-    let mut sim = Simulator::new(7);
-    let lot = ParkingLot::build(&mut sim, DumbbellConfig::paper(10e6), HOPS);
-    let mut flows = Vec::with_capacity(FLOWS);
-    for i in 0..FLOWS {
-        let pair = lot.add_host_pair(&mut sim, 0, HOPS);
-        let h = Tcp::install(
-            &mut sim,
-            &pair,
-            TcpConfig::standard(1000),
-            SimTime::from_millis(7 * i as u64),
-        );
-        flows.push(h.flow);
-    }
-    let t0 = Instant::now();
-    sim.run_until(SimTime::from_secs(3));
-    let secs = t0.elapsed().as_secs_f64();
-    let mut fp = String::new();
-    for f in flows {
-        fp.push_str(&format!("{f}: {:?}\n", sim.stats().flow(f)));
-    }
-    for &l in lot.forward.iter().chain(lot.reverse.iter()) {
-        fp.push_str(&format!("{l}: {:?}\n", sim.stats().link(l)));
-    }
-    let (events, packets) = (sim.events_processed(), sim.packets_injected());
-    let sealed = sim.shard_count();
-    black_box(&sim);
-    (secs, events, packets, sealed, fp)
-}
-
-/// Measure `shard_lot_run` at the given shard count; asserts the run is
-/// byte-identical to `reference` (when given) and returns the cell plus
-/// the fingerprint.
-fn shard_cell(requested: usize, runs: u32, reference: Option<&str>) -> (ShardCell, String) {
-    set_default_shards(Some(requested));
-    // Warmup (also the determinism sample).
-    let (_, events, packets, sealed, fp) = shard_lot_run();
-    if let Some(want) = reference {
-        assert_eq!(
-            fp, want,
-            "{requested}-shard parking lot diverged from the serial statistics"
-        );
-    }
-    let mut times = Vec::with_capacity(runs as usize);
-    for _ in 0..runs {
-        let (secs, e, p, s, _) = shard_lot_run();
-        assert_eq!(
-            (e, p, s),
-            (events, packets, sealed),
-            "shard bench runs must be deterministic"
-        );
-        times.push(secs);
-    }
-    set_default_shards(None);
-    let mean = times.iter().sum::<f64>() / times.len() as f64;
-    println!(
-        "shards             {requested} requested / {sealed} sealed  mean {:.2} ms  {:.2}M events/s",
-        mean * 1e3,
-        events as f64 / mean / 1e6,
-    );
-    (
-        ShardCell {
-            requested_shards: requested,
-            sealed_shards: sealed,
-            runs,
-            mean_ms: mean * 1e3,
-            events_per_sec: events as f64 / mean,
-        },
-        fp,
-    )
-}
-
-fn bench_shards(single_core: bool, warnings: &mut Vec<Warning>) -> ShardsBench {
-    const RUNS: u32 = 3;
-    let (serial, reference) = shard_cell(1, RUNS, None);
-    let mut cells = vec![serial];
-    for requested in [2usize, 4] {
-        let (cell, _) = shard_cell(requested, RUNS, Some(&reference));
-        cells.push(cell);
-    }
-    let speedup = cells[2].events_per_sec / cells[0].events_per_sec;
-    if single_core {
-        warnings.push(SINGLE_CORE_SHARDS_WARNING);
-    }
-    ShardsBench {
-        flows: 64,
-        hops: 3,
-        sim_secs: 3,
-        // shard_cell asserted it; reaching this line is the proof.
-        deterministic: true,
-        speedup_4_shards: speedup,
-        cells,
-    }
-}
-
 fn packet_bytes() -> PacketBytes {
     use core::mem::size_of;
     use slowcc_netsim::packet::{AckInfo, DataInfo, Packet, Payload};
@@ -789,8 +640,8 @@ fn repo_root() -> PathBuf {
 }
 
 /// Extract the number at `"key": <number>` inside the `"section"` object
-/// of `json`. Hand-rolled because the vendored `serde_json` shim cannot
-/// deserialize; sufficient for files this binary wrote itself.
+/// of `json`. A plain text scan, sufficient for files this binary wrote
+/// itself.
 fn extract_number(json: &str, section: &str, key: &str) -> Option<f64> {
     let sec = json.find(&format!("\"{section}\""))?;
     let rest = &json[sec..];
@@ -863,31 +714,6 @@ fn check_against_baseline() -> i32 {
             base_eps / 1e6
         );
         code = 1;
-    }
-    // Shard gate. Determinism is checked unconditionally: 4-shard
-    // statistics must be byte-identical to serial (shard_cell asserts
-    // this, so a divergence aborts loudly). The speedup assertion is
-    // skipped when the committed baseline's machine-readable warnings
-    // array flags the "shards" section — i.e. the baseline host was
-    // single-core, where shard workers timeshare and cannot speed up.
-    let (serial, reference) = shard_cell(1, 2, None);
-    let (sharded, _) = shard_cell(4, 2, Some(&reference));
-    let baseline_single_core = baseline.contains("shard workers timeshare");
-    let speedup = sharded.events_per_sec / serial.events_per_sec;
-    let multi_core = std::thread::available_parallelism().is_ok_and(|n| n.get() > 1);
-    if !multi_core || baseline_single_core {
-        println!(
-            "bench gate         shards: determinism OK, speedup {:.2}x not asserted (single-core)",
-            speedup
-        );
-    } else if speedup < 1.0 {
-        eprintln!(
-            "bench gate FAIL: 4 shards ran {:.2}x serial speed on a multi-core host",
-            speedup
-        );
-        code = 1;
-    } else {
-        println!("bench gate         shards: determinism OK, speedup {speedup:.2}x");
     }
     // Supervisor gate: fresh armed-vs-unarmed A/B on this host (the
     // ratio is host-speed-independent, so no baseline field is needed).
@@ -975,14 +801,12 @@ fn main() {
     }
     let schedulers = bench_schedulers();
     let dumbbell_4tcp_5s = bench_dumbbell(true);
-    let shards = bench_shards(single_core, &mut warnings);
     let supervisor_overhead = bench_supervisor(6);
     let streaming_trace = bench_streaming_trace();
     let report = BenchReport {
         available_parallelism: jobs,
         schedulers,
         dumbbell_4tcp_5s,
-        shards,
         supervisor_overhead,
         streaming_trace,
         packet_bytes: packet_bytes(),

@@ -13,8 +13,8 @@
 //! manifests, so it can sit inside byte-diffed determinism checks.
 //!
 //! The format is a fixed JSON shape written and parsed by this module
-//! alone (the vendored `serde_json` shim has no deserializer). The
-//! parser is intentionally a line-oriented reader of exactly what
+//! alone, not through `serde_json::from_str`. The parser is
+//! intentionally a line-oriented reader of exactly what
 //! [`Manifest::write`] emits — it is not a general JSON parser, and a
 //! hand-edited manifest that strays from the shape is treated as
 //! absent rather than guessed at.

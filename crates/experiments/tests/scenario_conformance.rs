@@ -15,11 +15,12 @@
 //!    cross-flow mean (re-summed in installation order) are
 //!    bit-identical.
 //! 3. Every shipped scenario file replays byte-identically across the
-//!    heap and calendar schedulers and under two conservative-parallel
-//!    shards, exactly like the registry-wide conformance sweep.
+//!    heap and calendar schedulers, exactly like the registry-wide
+//!    conformance sweep.
 //!
-//! Lives in its own integration binary because it pins process-global
-//! scheduler/shard defaults (same reasoning as registry_conformance).
+//! Lives in its own integration binary because it pins the
+//! process-global scheduler default (same reasoning as
+//! registry_conformance).
 
 use slowcc_experiments::dsl::{self, builtin};
 use slowcc_experiments::experiment::Experiment;
@@ -27,14 +28,12 @@ use slowcc_experiments::flavor::Flavor;
 use slowcc_experiments::scale::Scale;
 use slowcc_experiments::{chaos, hetero};
 use slowcc_netsim::event::{set_default_scheduler, SchedulerKind};
-use slowcc_netsim::sim::set_default_shards;
 
-/// Restore process-global defaults on every exit path.
+/// Restore the process-global default on every exit path.
 struct Restore;
 impl Drop for Restore {
     fn drop(&mut self) {
         set_default_scheduler(None);
-        set_default_shards(None);
     }
 }
 
@@ -118,15 +117,6 @@ fn scenario_twins_are_bit_identical_and_schedule_invariant() {
         assert_eq!(
             calendar, serial,
             "{name}: calendar-queue scheduler must reproduce the heap byte-for-byte"
-        );
-
-        set_default_scheduler(Some(SchedulerKind::Heap));
-        set_default_shards(Some(2));
-        let sharded = exp.cell_jsons(Scale::Quick);
-        set_default_shards(None);
-        assert_eq!(
-            sharded, serial,
-            "{name}: two-shard run must reproduce the serial output byte-for-byte"
         );
     }
     assert!(checked >= 3, "expected >= 3 shipped scenarios, replayed {checked}");

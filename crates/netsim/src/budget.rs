@@ -5,26 +5,23 @@
 //! (the livelock signature of a timer loop that never advances time) —
 //! plus an opt-in to the process-global cancel flag raised by signal
 //! handlers. The running [`crate::sim::Simulator`] checks its budget at
-//! **batch boundaries** (see `Shard::run_window`): integer counters
+//! **batch boundaries** (see `Simulator::run_until`): integer counters
 //! every batch, the `Instant::now()` syscall and the cancel-flag load
 //! only every [`WALL_CHECK_MASK`]+1 batches, so an armed-but-untripped
 //! budget costs a few ALU ops per batch and nothing per event.
 //!
 //! A tripped budget **unwinds** with [`SimAbort`] as the panic payload
 //! (`std::panic::panic_any`). Unwinding — rather than a `Result` from
-//! `run_until` — keeps the dozens of existing call sites unchanged and
-//! reuses the sharded engine's poison machinery: a shard that trips
-//! poisons the round, every sibling joins at the next barrier, and the
-//! payload is re-thrown on the caller's thread. Supervisors catch the
-//! unwind with `catch_unwind` and downcast the payload to classify the
-//! failure; the thread is joined and all simulator state is dropped, so
-//! nothing is ever abandoned.
+//! `run_until` — keeps the dozens of existing call sites unchanged.
+//! Supervisors catch the unwind with `catch_unwind` and downcast the
+//! payload to classify the failure; the thread is joined and all
+//! simulator state is dropped, so nothing is ever abandoned.
 //!
 //! Checks have **no side effects** while untripped: arming a budget
 //! that never trips leaves every simulation byte-identical.
 //!
 //! Budgets reach deeply-constructed simulators the same way the
-//! scheduler, shard-count, and audit knobs do: a worker thread calls
+//! scheduler and audit knobs do: a worker thread calls
 //! [`set_thread_budget`] and every `Simulator::new` on that thread
 //! captures it. [`crate::sim::Simulator::set_budget`] overrides it
 //! per-instance (before the first `run_until`).
@@ -46,7 +43,7 @@ const WALL_CHECK_MASK: u64 = 0xFFF;
 pub struct Budget {
     /// Wall-clock limit, measured from the `Simulator`'s construction.
     pub wall_clock: Option<Duration>,
-    /// Maximum dispatched events (per shard on a sharded simulator).
+    /// Maximum dispatched events.
     pub max_events: Option<u64>,
     /// Maximum *consecutive* event batches at the same simulated time.
     /// A zero-advance timer loop produces one batch per wakeup forever;
@@ -161,7 +158,7 @@ thread_local! {
 /// set it on worker threads before running a cell (and reset it after),
 /// so budgets reach simulators built deep inside experiment code
 /// without threading a parameter through every layer — the same
-/// pattern as the scheduler and shard-count knobs.
+/// pattern as the scheduler and audit knobs.
 pub fn set_thread_budget(budget: Budget) {
     THREAD_BUDGET.with(|b| b.set(budget));
 }
@@ -194,14 +191,11 @@ pub fn reset_cancel() {
 }
 
 /// Per-world budget-checking state: the armed [`Budget`] plus the
-/// counters the batch-boundary check advances. Replicated per shard by
-/// `Simulator::seal` (counters reset, deadline instant preserved), so
-/// every shard polices its own dispatch loop.
+/// counters the batch-boundary check advances.
 #[derive(Debug, Clone)]
 pub struct BudgetState {
     budget: Budget,
-    /// Absolute deadline, computed once at arming so sharding never
-    /// extends the wall-clock allowance.
+    /// Absolute deadline, computed once at arming.
     deadline: Option<Instant>,
     /// Fast-path skip: false means `on_batch` is a single branch.
     armed: bool,
@@ -236,22 +230,6 @@ impl BudgetState {
     /// The armed budget.
     pub fn budget(&self) -> Budget {
         self.budget
-    }
-
-    /// A fresh copy for a new shard: same budget and same absolute
-    /// deadline, counters back to zero.
-    pub fn replicate(&self) -> Self {
-        BudgetState {
-            budget: self.budget,
-            deadline: self.deadline,
-            armed: self.armed,
-            events_limit: self.events_limit,
-            livelock_limit: self.livelock_limit,
-            events: 0,
-            batches: 0,
-            last_time: SimTime::ZERO,
-            same_time_batches: 0,
-        }
     }
 
     /// Batch-boundary check: account one batch of `batch_len` events at
@@ -400,19 +378,12 @@ mod tests {
     }
 
     #[test]
-    fn thread_budget_round_trips_and_replication_resets_counters() {
+    fn thread_budget_round_trips() {
         assert!(thread_budget().is_unlimited());
         let b = Budget::none().with_max_events(7).with_cancel();
         set_thread_budget(b);
         assert_eq!(thread_budget(), b);
         set_thread_budget(Budget::none());
-
-        let mut state = BudgetState::new(Budget::none().with_max_events(1000));
-        state.on_batch(SimTime::from_nanos(1), 999);
-        let mut replica = state.replicate();
-        // A replica starts from zero events: another 999 fit.
-        replica.on_batch(SimTime::from_nanos(2), 999);
-        assert_eq!(replica.budget(), state.budget());
     }
 
     #[test]

@@ -11,19 +11,11 @@
 //!   O(log n) reference implementation for equivalence tests and the
 //!   `bench_netsim` scheduler microbench.
 //!
-//! Ordering is by `(time, sched, sequence)`: the instant the event fires,
-//! the instant it was *scheduled at* (the queue's clock when `schedule`
-//! was called), and a monotone token assigned at scheduling time. Ties in
-//! simulated time are therefore broken by scheduling time, then by
-//! scheduling order — explicitly, not by backend internals — which is
-//! what makes runs bit-for-bit reproducible and the two backends
-//! byte-identical. In a single-queue run the scheduling time is
-//! non-decreasing in the sequence number, so the triple orders exactly
-//! like the historical `(time, seq)` pair; the `sched` component only
-//! starts discriminating when events from *different* shards of a
-//! sharded run (see `sim::Simulator`) are merged into one queue via
-//! [`EventQueue::schedule_from`] — there it reproduces the order the
-//! serial run would have used. The property test in
+//! Ordering is by `(time, sequence)`: the instant the event fires, then a
+//! monotone token assigned at scheduling time. Ties in simulated time are
+//! therefore broken by scheduling order — explicitly, not by backend
+//! internals — which is what makes runs bit-for-bit reproducible and the
+//! two backends byte-identical. The property test in
 //! `tests/scheduler_equivalence.rs` and the `verify.sh` smoke step pin
 //! this down.
 
@@ -84,19 +76,15 @@ pub enum EventKind {
 #[derive(Debug, Clone, Copy)]
 struct Entry {
     time: SimTime,
-    /// Queue clock at the moment this entry was scheduled (or the
-    /// source-shard clock, for entries imported across shards).
-    sched: SimTime,
     seq: u64,
     kind: EventKind,
 }
 
 impl Entry {
-    /// The ordering key: fire time, then scheduling time, then
-    /// scheduling order.
+    /// The ordering key: fire time, then scheduling order.
     #[inline]
-    fn key(&self) -> (SimTime, SimTime, u64) {
-        (self.time, self.sched, self.seq)
+    fn key(&self) -> (SimTime, u64) {
+        (self.time, self.seq)
     }
 }
 
@@ -194,11 +182,10 @@ struct CalendarQueue {
     /// in [`Self::locate_min`] so it costs O(1) per pop even when a
     /// rebuild cannot help (all events at one instant).
     pops_since_resize: usize,
-    /// Reusable scratch for [`Self::drain_batch`]: `(sched, seq, kind)`
-    /// triples of the batch being extracted, sorted before they are
-    /// handed out. Kept on the queue so steady-state batch drains never
-    /// allocate.
-    scratch: Vec<(SimTime, u64, EventKind)>,
+    /// Reusable scratch for [`Self::drain_batch`]: `(seq, kind)` pairs
+    /// of the batch being extracted, sorted before they are handed out.
+    /// Kept on the queue so steady-state batch drains never allocate.
+    scratch: Vec<(u64, EventKind)>,
 }
 
 impl CalendarQueue {
@@ -235,7 +222,7 @@ impl CalendarQueue {
         }
     }
 
-    /// Locate the `(time, sched, seq)` minimum: advance the cursor to its
+    /// Locate the `(time, seq)` minimum: advance the cursor to its
     /// day and return `(bucket, index_in_bucket)`. `None` when empty.
     ///
     /// Includes the *skew guard*: if the minimum's day bucket holds far
@@ -273,7 +260,7 @@ impl CalendarQueue {
         let nb = self.buckets.len() as u64;
         for day in self.cursor_day..self.cursor_day + nb {
             let b = (day & self.mask) as usize;
-            let mut best: Option<(usize, (SimTime, SimTime, u64))> = None;
+            let mut best: Option<(usize, (SimTime, u64))> = None;
             for (i, e) in self.buckets[b].iter().enumerate() {
                 if self.day_of(e.time) == day && best.is_none_or(|(_, k)| e.key() < k) {
                     best = Some((i, e.key()));
@@ -288,7 +275,7 @@ impl CalendarQueue {
         // far-future timers behind a drained present): fall back to a
         // direct scan of all buckets for the global minimum, then jump
         // the cursor to it.
-        let mut best: Option<(usize, usize, (SimTime, SimTime, u64))> = None;
+        let mut best: Option<(usize, usize, (SimTime, u64))> = None;
         for (b, bucket) in self.buckets.iter().enumerate() {
             for (i, e) in bucket.iter().enumerate() {
                 if best.is_none_or(|(_, _, k)| e.key() < k) {
@@ -296,7 +283,7 @@ impl CalendarQueue {
                 }
             }
         }
-        let (b, i, (t, _, _)) = best.expect("len > 0 but no entry found");
+        let (b, i, (t, _)) = best.expect("len > 0 but no entry found");
         self.cursor_day = self.day_of(t);
         (b, i)
     }
@@ -313,11 +300,11 @@ impl CalendarQueue {
 
     /// Fused minimum-search and batch-drain behind
     /// [`EventQueue::drain_batch`]: one walk from the cursor both locates
-    /// the `(time, sched, seq)` minimum *and* counts how many entries tie
+    /// the `(time, seq)` minimum *and* counts how many entries tie
     /// its timestamp (ties always share a day, hence a bucket), so the
     /// untied common case drains with a single O(1) `swap_remove` and no
     /// second bucket pass. Extracted kinds are appended to `out` in
-    /// ascending `(sched, seq)` order — exactly the order repeated
+    /// ascending `seq` order — exactly the order repeated
     /// [`Self::remove`] calls would have produced. Returns the batch
     /// timestamp, or `None` when the queue is empty or the head is past
     /// `horizon` (located-but-rejected heads still advance the cursor, as
@@ -350,15 +337,15 @@ impl CalendarQueue {
                 scratch.clear();
                 bucket.retain(|e| {
                     if e.time == t {
-                        scratch.push((e.sched, e.seq, e.kind));
+                        scratch.push((e.seq, e.kind));
                         false
                     } else {
                         true
                     }
                 });
                 self.len -= scratch.len();
-                scratch.sort_unstable_by_key(|&(sched, seq, _)| (sched, seq));
-                out.extend(scratch.iter().map(|&(_, _, kind)| kind));
+                scratch.sort_unstable_by_key(|&(seq, _)| seq);
+                out.extend(scratch.iter().map(|&(_, kind)| kind));
                 self.scratch = scratch;
             }
             // Same shrink trigger as `remove`, applied once per batch.
@@ -376,7 +363,7 @@ impl CalendarQueue {
         let mut day = self.cursor_day;
         for _ in 0..nb {
             let b = (day & self.mask) as usize;
-            let mut best: Option<(usize, (SimTime, SimTime, u64))> = None;
+            let mut best: Option<(usize, (SimTime, u64))> = None;
             let mut ties = 0usize;
             for (i, e) in self.buckets[b].iter().enumerate() {
                 if self.day_of(e.time) != day {
@@ -481,9 +468,6 @@ impl std::fmt::Debug for Backend {
 pub struct EventQueue {
     backend: Backend,
     next_seq: u64,
-    /// Time of the most recently popped event — the instant handlers run
-    /// at, recorded as the `sched` component of anything they schedule.
-    clock: SimTime,
 }
 
 impl Default for EventQueue {
@@ -508,7 +492,6 @@ impl EventQueue {
         EventQueue {
             backend,
             next_seq: 0,
-            clock: SimTime::ZERO,
         }
     }
 
@@ -520,32 +503,15 @@ impl EventQueue {
         }
     }
 
-    /// Schedule `kind` to fire at `time`, stamped with the queue's
-    /// current clock as its scheduling time.
+    /// Schedule `kind` to fire at `time`.
     ///
     /// Inlined along with `pop`: every packet hop and timer goes through
     /// these, so they should collapse into their callers.
     #[inline]
     pub fn schedule(&mut self, time: SimTime, kind: EventKind) {
-        self.schedule_from(self.clock, time, kind);
-    }
-
-    /// Schedule `kind` to fire at `time` with an explicit scheduling
-    /// time. This is the cross-shard import path: an arrival that was
-    /// scheduled on another shard at source-clock `sched` keeps that
-    /// stamp, so events fired at the same instant from different shards
-    /// sort the way the serial run would have sorted them (by scheduling
-    /// time, then sequence).
-    #[inline]
-    pub fn schedule_from(&mut self, sched: SimTime, time: SimTime, kind: EventKind) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let entry = Entry {
-            time,
-            sched,
-            seq,
-            kind,
-        };
+        let entry = Entry { time, seq, kind };
         match &mut self.backend {
             Backend::Heap(heap) => heap.push(entry),
             Backend::Calendar(cal) => cal.push(entry),
@@ -555,18 +521,14 @@ impl EventQueue {
     /// Remove and return the earliest event.
     #[inline]
     pub fn pop(&mut self) -> Option<(SimTime, EventKind)> {
-        let popped = match &mut self.backend {
+        match &mut self.backend {
             Backend::Heap(heap) => heap.pop().map(|e| (e.time, e.kind)),
             Backend::Calendar(cal) => {
                 let pos = cal.locate_min()?;
                 let e = cal.remove(pos);
                 Some((e.time, e.kind))
             }
-        };
-        if let Some((t, _)) = popped {
-            self.clock = t;
         }
-        popped
     }
 
     /// Remove and return the earliest event if it fires at or before
@@ -574,7 +536,7 @@ impl EventQueue {
     /// [`crate::sim::Simulator::run_until`] drives the event loop with.
     #[inline]
     pub fn pop_if_at_or_before(&mut self, horizon: SimTime) -> Option<(SimTime, EventKind)> {
-        let popped = match &mut self.backend {
+        match &mut self.backend {
             Backend::Heap(heap) => {
                 if heap.peek().is_some_and(|e| e.time <= horizon) {
                     heap.pop().map(|e| (e.time, e.kind))
@@ -591,17 +553,13 @@ impl EventQueue {
                     Some((e.time, e.kind))
                 }
             }
-        };
-        if let Some((t, _)) = popped {
-            self.clock = t;
         }
-        popped
     }
 
     /// Remove every event sharing the earliest pending timestamp, if that
     /// timestamp is at or before `horizon`, appending their kinds to `out`
     /// in exactly the order repeated [`Self::pop`] calls would have
-    /// produced (ascending `(sched, seq)`). Returns the batch timestamp,
+    /// produced (ascending `seq`). Returns the batch timestamp,
     /// or `None` when the queue is empty or the head is past the horizon.
     ///
     /// Events scheduled *while a batch is being dispatched* — even at the
@@ -615,7 +573,7 @@ impl EventQueue {
     /// batch dispatch performs no allocation.
     pub fn drain_batch(&mut self, horizon: SimTime, out: &mut Vec<EventKind>) -> Option<SimTime> {
         out.clear();
-        let t = match &mut self.backend {
+        match &mut self.backend {
             Backend::Heap(heap) => {
                 let t = heap.peek().map(|e| e.time).filter(|&t| t <= horizon)?;
                 while heap.peek().is_some_and(|e| e.time == t) {
@@ -624,11 +582,7 @@ impl EventQueue {
                 Some(t)
             }
             Backend::Calendar(cal) => cal.drain_batch(horizon, out),
-        };
-        if let Some(t) = t {
-            self.clock = t;
         }
-        t
     }
 
     /// Total number of events ever scheduled on this queue (the next
@@ -637,15 +591,6 @@ impl EventQueue {
     /// hot-path counter.
     pub fn scheduled(&self) -> u64 {
         self.next_seq
-    }
-
-    /// Advance the scheduling clock to `t` (never backwards). The
-    /// simulator calls this when a run reaches its horizon with events
-    /// still pending, so anything scheduled *between* runs is stamped
-    /// with the horizon — the same scheduling time on every shard —
-    /// rather than with whichever event each queue happened to pop last.
-    pub(crate) fn set_clock(&mut self, t: SimTime) {
-        self.clock = self.clock.max(t);
     }
 
     /// Time of the earliest scheduled event. `&mut` because the calendar
@@ -685,6 +630,14 @@ mod tests {
             agent: AgentId::from_index(agent),
             token,
         }
+    }
+
+    #[test]
+    fn entry_is_32_bytes() {
+        // 8 (time) + 8 (seq) + 16 (kind): the layout every calendar
+        // bucket and heap slot stores. Growing it costs cache lines on
+        // every schedule and pop.
+        assert_eq!(std::mem::size_of::<Entry>(), 32);
     }
 
     #[test]
@@ -751,64 +704,6 @@ mod tests {
             let (t, _) = q.pop_if_at_or_before(SimTime::from_secs(1)).unwrap();
             assert_eq!(t, SimTime::from_millis(20));
             assert!(q.pop_if_at_or_before(SimTime::from_secs(9)).is_none());
-        }
-    }
-
-    #[test]
-    fn same_instant_ties_break_by_scheduling_time_then_order() {
-        // Cross-shard imports carry a foreign scheduling time; at an
-        // equal fire time the earlier-scheduled event must pop first even
-        // when it was inserted later (higher seq).
-        for kind in KINDS {
-            let mut q = EventQueue::with_kind(kind);
-            let fire = SimTime::from_millis(20);
-            q.schedule_from(SimTime::from_millis(10), fire, timer(0, 0));
-            q.schedule_from(SimTime::from_millis(5), fire, timer(0, 1));
-            q.schedule_from(SimTime::from_millis(5), fire, timer(0, 2));
-            let tokens: Vec<u64> = std::iter::from_fn(|| q.pop())
-                .map(|(_, k)| match k {
-                    EventKind::AgentTimer { token, .. } => token,
-                    _ => unreachable!(),
-                })
-                .collect();
-            assert_eq!(tokens, vec![1, 2, 0], "{kind:?}");
-
-            let mut q = EventQueue::with_kind(kind);
-            q.schedule_from(SimTime::from_millis(10), fire, timer(0, 0));
-            q.schedule_from(SimTime::from_millis(5), fire, timer(0, 1));
-            q.schedule_from(SimTime::from_millis(5), fire, timer(0, 2));
-            let mut out = Vec::new();
-            assert_eq!(q.drain_batch(fire, &mut out), Some(fire), "{kind:?}");
-            let tokens: Vec<u64> = out
-                .iter()
-                .map(|k| match k {
-                    EventKind::AgentTimer { token, .. } => *token,
-                    _ => unreachable!(),
-                })
-                .collect();
-            assert_eq!(tokens, vec![1, 2, 0], "{kind:?} drain_batch");
-        }
-    }
-
-    #[test]
-    fn popping_advances_the_scheduling_clock() {
-        // An event scheduled from a handler (i.e. after a pop at time T)
-        // is stamped sched=T and therefore beats a same-fire-time entry
-        // imported with a later sched stamp.
-        for kind in KINDS {
-            let mut q = EventQueue::with_kind(kind);
-            q.schedule(SimTime::from_millis(1), timer(0, 9));
-            q.pop();
-            let fire = SimTime::from_millis(7);
-            q.schedule_from(SimTime::from_millis(2), fire, timer(0, 0));
-            q.schedule(fire, timer(0, 1)); // sched = 1 ms (the pop time)
-            let tokens: Vec<u64> = std::iter::from_fn(|| q.pop())
-                .map(|(_, k)| match k {
-                    EventKind::AgentTimer { token, .. } => token,
-                    _ => unreachable!(),
-                })
-                .collect();
-            assert_eq!(tokens, vec![1, 0], "{kind:?}");
         }
     }
 

@@ -124,8 +124,8 @@ pub struct Link {
     /// Private RNG stream consumed by the queue discipline (RED's drop
     /// draws). Seeded by the simulator from `(sim seed, link index)`, so
     /// each link's draw sequence depends only on the packets *it* sees —
-    /// not on interleaving with other links — which is what makes sharded
-    /// execution bit-identical to serial. Placeholder-seeded here;
+    /// not on interleaving with other links, so adding or removing an
+    /// unrelated link never perturbs it. Placeholder-seeded here;
     /// [`crate::sim::Simulator::add_link`] installs the real stream.
     pub(crate) rng: SmallRng,
     /// The packet currently being serialized, if any. Living on the link

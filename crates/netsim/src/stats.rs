@@ -28,7 +28,7 @@ use crate::ids::{FlowId, LinkId};
 use crate::time::{SimDuration, SimTime};
 
 /// One bin of a link's always-recorded counters.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Default, Clone, Copy, Serialize)]
 pub struct LinkBin {
     /// Packets offered to the link (before loss patterns and queueing).
     pub arrivals: u64,
@@ -41,7 +41,7 @@ pub struct LinkBin {
 }
 
 /// Per-flow counters.
-#[derive(Debug, Default, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Default, Clone, Serialize)]
 pub struct FlowStats {
     /// Bytes handed to the network by the source, per bin.
     pub tx_bytes: Vec<u64>,
@@ -58,7 +58,7 @@ pub struct FlowStats {
 }
 
 /// Per-link counters, recorded at the link buffer.
-#[derive(Debug, Default, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Default, Clone, Serialize)]
 pub struct LinkStats {
     /// Per-bin arrivals, queue sums and transmitted bytes, up to the last
     /// bin any of them was recorded in.
@@ -253,53 +253,6 @@ impl Stats {
         bin_mut(&mut l.bins, ix).tx_bytes += bytes as u64;
         l.total_tx_bytes += bytes as u64;
         l.total_tx_packets += 1;
-    }
-
-    /// Fold another store's counters into this one, element-wise. All
-    /// counters are exact `u64`s, so merging the per-shard stores of a
-    /// sharded run (each flow/link is recorded by exactly one shard)
-    /// reproduces the serial store bit-for-bit. Series are extended to
-    /// the longer of the two lengths, matching serial behavior where a
-    /// series ends at its last recorded bin.
-    pub(crate) fn absorb(&mut self, other: &Stats) {
-        assert_eq!(self.bin, other.bin, "cannot merge stats with different bins");
-        fn add_series<T: Default + Clone>(dst: &mut Vec<T>, src: &[T], add: impl Fn(&mut T, &T)) {
-            if dst.len() < src.len() {
-                dst.resize(src.len(), T::default());
-            }
-            for (d, s) in dst.iter_mut().zip(src) {
-                add(d, s);
-            }
-        }
-        for (ix, f) in other.flows.iter().enumerate() {
-            self.ensure_flow(FlowId::from_index(ix));
-            let d = &mut self.flows[ix];
-            add_series(&mut d.tx_bytes, &f.tx_bytes, |d, s| *d += s);
-            add_series(&mut d.rx_bytes, &f.rx_bytes, |d, s| *d += s);
-            add_series(&mut d.rx_packets, &f.rx_packets, |d, s| *d += s);
-            d.total_tx_bytes += f.total_tx_bytes;
-            d.total_rx_bytes += f.total_rx_bytes;
-            d.total_rx_packets += f.total_rx_packets;
-        }
-        for (ix, l) in other.links.iter().enumerate() {
-            self.ensure_link(LinkId::from_index(ix));
-            let d = &mut self.links[ix];
-            add_series(&mut d.bins, &l.bins, |d, s| {
-                d.arrivals += s.arrivals;
-                d.queue_sum += s.queue_sum;
-                d.tx_bytes += s.tx_bytes;
-            });
-            add_series(&mut d.drops, &l.drops, |d, s| *d += s);
-            add_series(&mut d.marks, &l.marks, |d, s| *d += s);
-            d.total_arrivals += l.total_arrivals;
-            d.total_drops += l.total_drops;
-            d.total_marks += l.total_marks;
-            d.total_tx_bytes += l.total_tx_bytes;
-            d.total_tx_packets += l.total_tx_packets;
-            d.total_duplicates += l.total_duplicates;
-            d.total_fault_held += l.total_fault_held;
-            d.total_flap_drops += l.total_flap_drops;
-        }
     }
 
     /// Raw per-flow counters, if the flow ever carried traffic.
@@ -783,10 +736,9 @@ mod tests {
             #![proptest_config(ProptestConfig { cases: 48, .. ProptestConfig::default() })]
 
             /// Recording a random event stream answers every query like the
-            /// oracle; splitting the stream over two stores and absorbing
-            /// one into the other gives the identical store.
+            /// oracle.
             #[test]
-            fn queries_and_absorb_match_naive_oracle(
+            fn queries_match_naive_oracle(
                 ops in prop::collection::vec(0u64..u64::MAX, 0..160),
                 from in 0u64..HORIZON_NS + 3 * BIN_NS,
                 len in 0u64..HORIZON_NS,
@@ -795,22 +747,14 @@ mod tests {
             ) {
                 let evs: Vec<Ev> = ops.iter().map(|&op| decode(op)).collect();
                 let oracle = Oracle::new(&evs);
-                let bin = SimDuration::from_nanos(BIN_NS);
-                let mut whole = Stats::new(bin);
-                let (mut a, mut b) = (Stats::new(bin), Stats::new(bin));
-                for (&op, &ev) in ops.iter().zip(&evs) {
-                    record(&mut whole, ev);
-                    record(if op >> 63 == 0 { &mut a } else { &mut b }, ev);
+                let mut stats = Stats::new(SimDuration::from_nanos(BIN_NS));
+                for &ev in &evs {
+                    record(&mut stats, ev);
                 }
                 // Exercise `to <= from` too: `len` can be 0, and the
                 // reversed pair is checked as well.
-                check(&whole, &oracle, from, from + len, window, until);
-                check(&whole, &oracle, from + len, from, window, until);
-
-                a.absorb(&b);
-                prop_assert_eq!(&a.flows, &whole.flows);
-                prop_assert_eq!(&a.links, &whole.links);
-                check(&a, &oracle, from, from + len, window, until);
+                check(&stats, &oracle, from, from + len, window, until);
+                check(&stats, &oracle, from + len, from, window, until);
             }
         }
     }

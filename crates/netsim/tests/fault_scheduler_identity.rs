@@ -1,14 +1,11 @@
-//! Faulted runs must be byte-identical across scheduler backends AND
-//! shard counts.
+//! Faulted runs must be byte-identical across scheduler backends.
 //!
 //! The fault layer re-enters packets through the event queue
 //! (`FaultRelease` for holds and duplicates), so its determinism contract
-//! leans directly on the `(time, sched, seq)` tie-break both backends
-//! share — and, under conservative-parallel execution, on the cross-shard
-//! merge order (DESIGN.md §5h). This lives in its own test binary because
-//! `set_default_scheduler` and `set_default_shards` are process-global:
-//! integration tests in other binaries run concurrently and must not see
-//! the overrides flip underneath them.
+//! leans directly on the `(time, seq)` tie-break both backends share.
+//! This lives in its own test binary because `set_default_scheduler` is
+//! process-global: integration tests in other binaries run concurrently
+//! and must not see the override flip underneath them.
 
 use std::sync::{Arc, Mutex};
 
@@ -18,20 +15,19 @@ use slowcc_netsim::ids::{AgentId, FlowId, LinkId, NodeId};
 use slowcc_netsim::link::Link;
 use slowcc_netsim::packet::{AckInfo, Packet, PacketSpec};
 use slowcc_netsim::queue::DropTail;
-use slowcc_netsim::sim::{set_default_shards, Agent, Ctx, Simulator};
+use slowcc_netsim::sim::{Agent, Ctx, Simulator};
 use slowcc_netsim::stats::Stats;
 use slowcc_netsim::time::{SimDuration, SimTime};
 use slowcc_netsim::topology::{DumbbellConfig, DumbbellOptions, ParkingLot};
 use slowcc_netsim::trace::VecTrace;
 
-/// Restore the process defaults on drop, so a failing assertion can't
-/// leak the overrides into other binaries (this binary has one test, but
+/// Restore the process default on drop, so a failing assertion can't
+/// leak the override into other binaries (this binary has one test, but
 /// the discipline is cheap).
 struct Restore;
 impl Drop for Restore {
     fn drop(&mut self) {
         set_default_scheduler(None);
-        set_default_shards(None);
     }
 }
 
@@ -80,8 +76,7 @@ impl Agent for AckingSink {
 }
 
 /// Byte-comparable fingerprint of everything the run's statistics
-/// recorded for the given flows and links (via public accessors, so the
-/// lazily merged sharded store compares equal to the serial one).
+/// recorded for the given flows and links.
 fn stats_fingerprint(stats: &Stats, flows: &[FlowId], links: &[LinkId]) -> String {
     let mut out = String::new();
     for &f in flows {
@@ -94,9 +89,8 @@ fn stats_fingerprint(stats: &Stats, flows: &[FlowId], links: &[LinkId]) -> Strin
 }
 
 /// Run the full fault menu (reorder + duplication + jitter + flap) on the
-/// current default scheduler/shard settings and return a byte-comparable
-/// transcript. `traced` additionally captures the full packet trace
-/// (which forces serial execution, so it is only used at shards=1).
+/// current default scheduler and return a byte-comparable transcript.
+/// `traced` additionally captures the full packet trace.
 fn run_chaotic(seed: u64, traced: bool) -> (Option<String>, Vec<u64>, String) {
     let plan = FaultPlan::seeded(seed ^ 0xC0FFEE)
         .with_reorder(9, SimDuration::from_millis(20), 6)
@@ -158,15 +152,15 @@ fn run_chaotic(seed: u64, traced: bool) -> (Option<String>, Vec<u64>, String) {
     (trace, order, fp)
 }
 
-/// A three-hop parking lot under a fault plan: packets traverse several
-/// shard boundaries per trip (and, when four clusters pack into two
-/// shards, revisit a shard they already left — the re-import path).
-fn run_parking_lot(seed: u64) -> (Vec<u64>, String, usize) {
+/// A three-hop parking lot under a fault plan: held, duplicated and
+/// jittered packets are released onto a multi-hop route, so every later
+/// hop sees the fault layer's re-entry order.
+fn run_parking_lot(seed: u64) -> (Vec<u64>, String) {
     let mut cfg = DumbbellConfig::paper(8e6);
     cfg.queue = slowcc_netsim::topology::QueueKind::DropTail(64);
     let mut sim = Simulator::new(seed);
-    // Fault plans on the first hop (both directions), so cross-shard
-    // handoffs carry reordered/duplicated/jittered packets too.
+    // Fault plans on the first hop (both directions), so the downstream
+    // hops carry reordered/duplicated/jittered packets too.
     let opts = DumbbellOptions::new()
         .forward_faults(
             FaultPlan::seeded(seed ^ 0xBEEF)
@@ -195,70 +189,50 @@ fn run_parking_lot(seed: u64) -> (Vec<u64>, String, usize) {
     let mut links: Vec<LinkId> = lot.forward.clone();
     links.extend(lot.reverse.iter().copied());
     let fp = stats_fingerprint(sim.stats(), &[flow], &links);
-    (order, fp, sim.shard_count())
+    (order, fp)
 }
 
 #[test]
-fn faulted_runs_are_identical_across_schedulers_and_shards() {
+fn faulted_runs_are_identical_across_schedulers() {
     let _restore = Restore;
 
-    // Traced serial reference across scheduler backends (tracing needs a
-    // global event order, so this leg always runs at one shard).
+    // Traced and untraced runs on both backends: the full packet trace
+    // must match across schedulers, and installing the trace sink must
+    // not perturb the delivery order or the statistics.
     for seed in [1u64, 17, 99] {
         set_default_scheduler(Some(SchedulerKind::Heap));
         let heap = run_chaotic(seed, true);
+        let reference = (None, heap.1.clone(), heap.2.clone());
         set_default_scheduler(Some(SchedulerKind::Calendar));
         let calendar = run_chaotic(seed, true);
         assert_eq!(
             heap, calendar,
             "seed {seed}: fault-layer transcript diverged between schedulers"
         );
-    }
-
-    // The full scheduler x shard-count matrix: delivery order and the
-    // complete statistics must be byte-identical in every cell.
-    for seed in [1u64, 17, 99] {
-        set_default_scheduler(Some(SchedulerKind::Heap));
-        set_default_shards(Some(1));
-        let reference = run_chaotic(seed, false);
         for sched in [SchedulerKind::Heap, SchedulerKind::Calendar] {
-            for shards in [1usize, 2, 4] {
-                set_default_scheduler(Some(sched));
-                set_default_shards(Some(shards));
-                let got = run_chaotic(seed, false);
-                assert_eq!(
-                    got, reference,
-                    "seed {seed}: {sched:?} x {shards} shards diverged from serial"
-                );
-            }
+            set_default_scheduler(Some(sched));
+            assert_eq!(
+                run_chaotic(seed, false),
+                reference,
+                "seed {seed}: untraced {sched:?} run diverged from the traced one"
+            );
         }
     }
 
-    // Multi-shard routes: a three-hop parking lot splits into up to four
-    // clusters, so packets cross several shard boundaries per trip.
+    // Multi-hop routes: fault releases on the first hop of a three-hop
+    // parking lot must order identically on both backends.
     for seed in [5u64, 23] {
         set_default_scheduler(Some(SchedulerKind::Heap));
-        set_default_shards(Some(1));
-        let (ref_order, ref_fp, ref_shards) = run_parking_lot(seed);
-        assert_eq!(ref_shards, 1, "serial run must stay one shard");
-        for sched in [SchedulerKind::Heap, SchedulerKind::Calendar] {
-            for shards in [2usize, 4] {
-                set_default_scheduler(Some(sched));
-                set_default_shards(Some(shards));
-                let (order, fp, sealed) = run_parking_lot(seed);
-                assert_eq!(
-                    sealed, shards,
-                    "parking lot must actually seal into {shards} shards"
-                );
-                assert_eq!(
-                    (order, fp),
-                    (ref_order.clone(), ref_fp.clone()),
-                    "seed {seed}: {sched:?} x {shards} shards diverged on the parking lot"
-                );
-            }
-        }
+        let heap = run_parking_lot(seed);
+        set_default_scheduler(Some(SchedulerKind::Calendar));
+        let calendar = run_parking_lot(seed);
+        assert!(
+            !heap.0.is_empty(),
+            "seed {seed}: parking lot delivered nothing"
+        );
+        assert_eq!(
+            heap, calendar,
+            "seed {seed}: heap and calendar diverged on the parking lot"
+        );
     }
-
-    set_default_scheduler(None);
-    set_default_shards(None);
 }

@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # Full verification: tier-1 (release build + tests) plus smoke runs of
 # the unified `repro` execution path — parallel and resumed sweeps must
-# be byte-identical, scheduler backends and shard counts
-# interchangeable, audits clean, a panicking cell isolated to itself,
-# and the dumbbell hot path no slower than the committed benchmark
-# baseline (see the bench gate at the bottom).
+# be byte-identical, scheduler backends interchangeable, audits clean,
+# a panicking cell isolated to itself, and the dumbbell hot path no
+# slower than the committed benchmark baseline (see the bench gate at
+# the bottom).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -68,17 +68,6 @@ SLOWCC_SCHEDULER=heap ./target/release/repro --quick fig45 --out "$tmp/heap" > /
 SLOWCC_SCHEDULER=calendar ./target/release/repro --quick fig45 --out "$tmp/calendar" > /dev/null
 diff -r "$tmp/heap" "$tmp/calendar"
 echo "calendar-queue output byte-identical to binary heap"
-
-echo "== shard equivalence smoke (SLOWCC_SHARDS=4, both schedulers) =="
-# Conservative-parallel execution must reproduce the serial run
-# byte-for-byte on either scheduler backend (DESIGN.md §5h).
-SLOWCC_SHARDS=4 SLOWCC_SCHEDULER=heap \
-  ./target/release/repro --quick fig45 --out "$tmp/sharded_heap" > /dev/null
-SLOWCC_SHARDS=4 SLOWCC_SCHEDULER=calendar \
-  ./target/release/repro --quick fig45 --out "$tmp/sharded_cal" > /dev/null
-diff -r "$tmp/heap" "$tmp/sharded_heap"
-diff -r "$tmp/calendar" "$tmp/sharded_cal"
-echo "4-shard output byte-identical to serial on both schedulers"
 
 echo "== audited smoke (SLOWCC_AUDIT=1, both schedulers) =="
 # Strict env-var path: any invariant violation panics the run.
