@@ -18,8 +18,7 @@
 //! flavor degrades stay visible.
 //!
 //! Every draw comes from the cell's own seed, so the sweep is
-//! bit-identical across runs, `--jobs` settings, and scheduler
-//! backends.
+//! bit-identical across runs and `--jobs` settings.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};

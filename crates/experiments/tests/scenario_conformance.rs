@@ -14,33 +14,25 @@
 //!    TCP(1/2)/3-hop Quick cell: the long flow's throughput and the
 //!    cross-flow mean (re-summed in installation order) are
 //!    bit-identical.
-//! 3. Every shipped scenario file replays byte-identically across the
-//!    heap and calendar schedulers, exactly like the registry-wide
+//! 3. Every shipped scenario file's pooled sweep is byte-identical to a
+//!    plain serial loop over its cells, exactly like the registry-wide
 //!    conformance sweep.
 //!
 //! Lives in its own integration binary because it pins the
-//! process-global scheduler default (same reasoning as
+//! process-global worker-pool width (same reasoning as
 //! registry_conformance).
 
 use slowcc_experiments::dsl::{self, builtin};
 use slowcc_experiments::experiment::Experiment;
 use slowcc_experiments::flavor::Flavor;
 use slowcc_experiments::scale::Scale;
-use slowcc_experiments::{chaos, hetero};
-use slowcc_netsim::event::{set_default_scheduler, SchedulerKind};
-
-/// Restore the process-global default on every exit path.
-struct Restore;
-impl Drop for Restore {
-    fn drop(&mut self) {
-        set_default_scheduler(None);
-    }
-}
+use slowcc_experiments::{chaos, hetero, runner};
 
 #[test]
 fn scenario_twins_are_bit_identical_and_schedule_invariant() {
-    let _restore = Restore;
-    set_default_scheduler(Some(SchedulerKind::Heap));
+    // Force a multi-threaded pool even on single-core machines (the
+    // first pool use in this process, so 8 sticks).
+    runner::set_jobs(8);
 
     // --- Contract 1: chaos twin vs the hand-coded chaos cell. ---
     let hand = chaos::ChaosExperiment.run_cell(Scale::Quick, (Flavor::standard_tcp(), 1000));
@@ -97,6 +89,8 @@ fn scenario_twins_are_bit_identical_and_schedule_invariant() {
     );
 
     // --- Contract 3: every shipped scenario is schedule-invariant. ---
+    // Cells run one at a time on this thread, then fanned out over the
+    // worker pool: --jobs N must reproduce --jobs 1 byte-for-byte.
     let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/scenarios");
     let mut checked = 0;
     for entry in std::fs::read_dir(&dir).expect("examples/scenarios exists") {
@@ -108,15 +102,15 @@ fn scenario_twins_are_bit_identical_and_schedule_invariant() {
         let exp = dsl::load_experiment(&path).unwrap_or_else(|e| panic!("{e}"));
         checked += 1;
 
-        set_default_scheduler(Some(SchedulerKind::Heap));
-        let serial = exp.cell_jsons(Scale::Quick);
-        assert!(!serial.is_empty(), "{name}: no cells at Quick");
-
-        set_default_scheduler(Some(SchedulerKind::Calendar));
-        let calendar = exp.cell_jsons(Scale::Quick);
+        let n = exp.cell_meta(Scale::Quick).len();
+        assert!(n > 0, "{name}: no cells at Quick");
+        let serial: Vec<String> = (0..n)
+            .map(|i| exp.run_cell_dyn(Scale::Quick, i).1)
+            .collect();
+        let pooled = exp.cell_jsons(Scale::Quick);
         assert_eq!(
-            calendar, serial,
-            "{name}: calendar-queue scheduler must reproduce the heap byte-for-byte"
+            pooled, serial,
+            "{name}: pooled sweep must be byte-identical to the serial loop"
         );
     }
     assert!(checked >= 3, "expected >= 3 shipped scenarios, replayed {checked}");

@@ -20,8 +20,8 @@
 //! Checks have **no side effects** while untripped: arming a budget
 //! that never trips leaves every simulation byte-identical.
 //!
-//! Budgets reach deeply-constructed simulators the same way the
-//! scheduler and audit knobs do: a worker thread calls
+//! Budgets reach deeply-constructed simulators the same way the audit
+//! knob does: a worker thread calls
 //! [`set_thread_budget`] and every `Simulator::new` on that thread
 //! captures it. [`crate::sim::Simulator::set_budget`] overrides it
 //! per-instance (before the first `run_until`).
@@ -158,7 +158,7 @@ thread_local! {
 /// set it on worker threads before running a cell (and reset it after),
 /// so budgets reach simulators built deep inside experiment code
 /// without threading a parameter through every layer — the same
-/// pattern as the scheduler and audit knobs.
+/// pattern as the audit knob.
 pub fn set_thread_budget(budget: Budget) {
     THREAD_BUDGET.with(|b| b.set(budget));
 }

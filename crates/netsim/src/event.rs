@@ -1,28 +1,16 @@
-//! The event scheduler.
-//!
-//! Two interchangeable backends produce the *same* event order:
-//!
-//! * [`SchedulerKind::Calendar`] (the default) — a calendar queue in the
-//!   style of Brown (1988) and ns-2's scheduler: events are hashed into
-//!   time buckets of width 2^k nanoseconds, insert and pop are amortized
-//!   O(1), and the bucket array resizes (and re-picks its width from the
-//!   observed event spacing) as the pending-event population drifts.
-//! * [`SchedulerKind::Heap`] — the original `BinaryHeap`, kept as the
-//!   O(log n) reference implementation for equivalence tests and the
-//!   `bench_netsim` scheduler microbench.
+//! The event scheduler: a calendar queue in the style of Brown (1988)
+//! and ns-2's scheduler. Events are hashed into time buckets of width
+//! 2^k nanoseconds, insert and pop are amortized O(1), and the bucket
+//! array resizes (and re-picks its width from the observed event
+//! spacing) as the pending-event population drifts.
 //!
 //! Ordering is by `(time, sequence)`: the instant the event fires, then a
 //! monotone token assigned at scheduling time. Ties in simulated time are
-//! therefore broken by scheduling order — explicitly, not by backend
-//! internals — which is what makes runs bit-for-bit reproducible and the
-//! two backends byte-identical. The property test in
-//! `tests/scheduler_equivalence.rs` and the `verify.sh` smoke step pin
-//! this down.
-
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicU8, Ordering as AtomicOrdering};
-use std::sync::OnceLock;
+//! therefore broken by scheduling order — explicitly, not by bucket
+//! layout — which is what makes runs bit-for-bit reproducible. The
+//! property tests in `tests/scheduler_equivalence.rs` and
+//! `tests/batch_equivalence.rs` pin the queue to a binary-heap oracle
+//! keyed the same way.
 
 use crate::ids::{AgentId, LinkId, NodeId};
 use crate::pool::PacketId;
@@ -72,7 +60,7 @@ pub enum EventKind {
     },
 }
 
-/// One scheduled event. Shared by both backends.
+/// One scheduled event.
 #[derive(Debug, Clone, Copy)]
 struct Entry {
     time: SimTime,
@@ -85,72 +73,6 @@ impl Entry {
     #[inline]
     fn key(&self) -> (SimTime, u64) {
         (self.time, self.seq)
-    }
-}
-
-impl PartialEq for Entry {
-    fn eq(&self, other: &Self) -> bool {
-        self.key() == other.key()
-    }
-}
-impl Eq for Entry {}
-
-impl PartialOrd for Entry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Entry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: BinaryHeap is a max-heap and we want earliest-first.
-        other.key().cmp(&self.key())
-    }
-}
-
-/// Which scheduler backend an [`EventQueue`] uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SchedulerKind {
-    /// Binary-heap reference scheduler (O(log n) per operation).
-    Heap,
-    /// Calendar-queue scheduler (amortized O(1) per operation).
-    Calendar,
-}
-
-/// Process-wide programmatic override: 0 = unset, 1 = heap, 2 = calendar.
-static SCHEDULER_OVERRIDE: AtomicU8 = AtomicU8::new(0);
-
-/// The `SLOWCC_SCHEDULER` environment knob, read once per process.
-static ENV_KIND: OnceLock<SchedulerKind> = OnceLock::new();
-
-/// Force every subsequently created [`EventQueue`] (and therefore every
-/// new [`crate::sim::Simulator`]) onto `kind`; `None` restores the
-/// default resolution (environment, then calendar). Used by equivalence
-/// tests that run the same figure under both backends in one process.
-pub fn set_default_scheduler(kind: Option<SchedulerKind>) {
-    let v = match kind {
-        None => 0,
-        Some(SchedulerKind::Heap) => 1,
-        Some(SchedulerKind::Calendar) => 2,
-    };
-    SCHEDULER_OVERRIDE.store(v, AtomicOrdering::Relaxed);
-}
-
-impl SchedulerKind {
-    /// The backend new queues get: the [`set_default_scheduler`] override
-    /// if set, else the `SLOWCC_SCHEDULER` environment variable (`heap` or
-    /// `calendar`), else [`SchedulerKind::Calendar`].
-    pub fn default_kind() -> SchedulerKind {
-        match SCHEDULER_OVERRIDE.load(AtomicOrdering::Relaxed) {
-            1 => SchedulerKind::Heap,
-            2 => SchedulerKind::Calendar,
-            _ => *ENV_KIND.get_or_init(|| match std::env::var("SLOWCC_SCHEDULER") {
-                Ok(v) if v == "heap" => SchedulerKind::Heap,
-                Ok(v) if v == "calendar" => SchedulerKind::Calendar,
-                Ok(v) => panic!("SLOWCC_SCHEDULER must be `heap` or `calendar`, got `{v}`"),
-                Err(_) => SchedulerKind::Calendar,
-            }),
-        }
     }
 }
 
@@ -222,8 +144,10 @@ impl CalendarQueue {
         }
     }
 
-    /// Locate the `(time, seq)` minimum: advance the cursor to its
-    /// day and return `(bucket, index_in_bucket)`. `None` when empty.
+    /// Locate the `(time, seq)` minimum: advance the cursor to its day
+    /// and return `(bucket, index_in_bucket, ties)`, where `ties` counts
+    /// the pending events sharing the minimum's timestamp (ties always
+    /// share a day, hence a bucket). `None` when empty.
     ///
     /// Includes the *skew guard*: if the minimum's day bucket holds far
     /// more events than the occupancy target, the bucket width no longer
@@ -232,13 +156,19 @@ impl CalendarQueue {
     /// width and retry. The `pops_since_resize` gate keeps the O(n)
     /// rebuild amortized O(1) even when rebuilding cannot spread the
     /// events (e.g. everything at one instant).
-    fn locate_min(&mut self) -> Option<(usize, usize)> {
+    ///
+    /// Forced inline, with [`Self::scan_min`] and [`bucket_min`]: with
+    /// two callers LLVM otherwise keeps the search out of line, and the
+    /// `drain_batch` hot path measured 4–9% slower end to end on the
+    /// perfbench `parkinglot-wide` workload (2-core Xeon VM).
+    #[inline(always)]
+    fn locate_min(&mut self) -> Option<(usize, usize, usize)> {
         if self.len == 0 {
             return None;
         }
         self.pops_since_resize += 1;
         loop {
-            let (b, i) = self.scan_min();
+            let (b, i, ties) = self.scan_min();
             // Cheap checks first: the division only runs on the rare
             // pop that actually looks skewed.
             if self.buckets[b].len() > 16
@@ -248,157 +178,98 @@ impl CalendarQueue {
                 self.resize(self.buckets.len());
                 continue;
             }
-            return Some((b, i));
+            return Some((b, i, ties));
         }
     }
 
     /// One pass of the minimum search, cursor advanced to the found day.
     /// Caller guarantees `len > 0`.
-    fn scan_min(&mut self) -> (usize, usize) {
+    #[inline(always)]
+    fn scan_min(&mut self) -> (usize, usize, usize) {
         // Walk at most one "year" (full cycle of the bucket array) from
         // the cursor; each day's events live in exactly one bucket.
         let nb = self.buckets.len() as u64;
+        let shift = self.shift;
         for day in self.cursor_day..self.cursor_day + nb {
             let b = (day & self.mask) as usize;
-            let mut best: Option<(usize, (SimTime, u64))> = None;
-            for (i, e) in self.buckets[b].iter().enumerate() {
-                if self.day_of(e.time) == day && best.is_none_or(|(_, k)| e.key() < k) {
-                    best = Some((i, e.key()));
-                }
-            }
-            if let Some((i, _)) = best {
+            let found = bucket_min(&self.buckets[b], |e| e.time.as_nanos() >> shift == day);
+            if let Some((i, _, ties)) = found {
                 self.cursor_day = day;
-                return (b, i);
+                return (b, i, ties);
             }
         }
         // Every pending event is more than a year past the cursor (e.g.
         // far-future timers behind a drained present): fall back to a
         // direct scan of all buckets for the global minimum, then jump
         // the cursor to it.
-        let mut best: Option<(usize, usize, (SimTime, u64))> = None;
+        let mut best: Option<(usize, usize, (SimTime, u64), usize)> = None;
         for (b, bucket) in self.buckets.iter().enumerate() {
-            for (i, e) in bucket.iter().enumerate() {
-                if best.is_none_or(|(_, _, k)| e.key() < k) {
-                    best = Some((b, i, e.key()));
+            if let Some((i, k, ties)) = bucket_min(bucket, |_| true) {
+                if best.is_none_or(|(_, _, bk, _)| k < bk) {
+                    best = Some((b, i, k, ties));
                 }
             }
         }
-        let (b, i, (t, _)) = best.expect("len > 0 but no entry found");
+        let (b, i, (t, _), ties) = best.expect("len > 0 but no entry found");
         self.cursor_day = self.day_of(t);
-        (b, i)
+        (b, i, ties)
     }
 
+    /// Shrink the bucket array once occupancy drops below a quarter of
+    /// it.
     #[inline]
-    fn remove(&mut self, pos: (usize, usize)) -> Entry {
-        let entry = self.buckets[pos.0].swap_remove(pos.1);
-        self.len -= 1;
+    fn shrink_if_sparse(&mut self) {
         if self.len < self.buckets.len() / 4 && self.buckets.len() > MIN_BUCKETS {
             self.resize(self.buckets.len() / 2);
         }
-        entry
     }
 
-    /// Fused minimum-search and batch-drain behind
-    /// [`EventQueue::drain_batch`]: one walk from the cursor both locates
-    /// the `(time, seq)` minimum *and* counts how many entries tie
-    /// its timestamp (ties always share a day, hence a bucket), so the
-    /// untied common case drains with a single O(1) `swap_remove` and no
-    /// second bucket pass. Extracted kinds are appended to `out` in
-    /// ascending `seq` order — exactly the order repeated
-    /// [`Self::remove`] calls would have produced. Returns the batch
-    /// timestamp, or `None` when the queue is empty or the head is past
-    /// `horizon` (located-but-rejected heads still advance the cursor, as
-    /// `locate_min` would).
+    /// Remove and return the `(time, seq)` minimum.
+    fn pop(&mut self) -> Option<Entry> {
+        let (b, i, _) = self.locate_min()?;
+        let entry = self.buckets[b].swap_remove(i);
+        self.len -= 1;
+        self.shrink_if_sparse();
+        Some(entry)
+    }
+
+    /// The batch drain behind [`EventQueue::drain_batch`]. The search
+    /// already counted the minimum's ties, so the untied common case
+    /// drains with a single O(1) `swap_remove` and no second bucket
+    /// pass. Extracted kinds are appended to `out` in ascending `seq`
+    /// order — exactly the order repeated [`Self::pop`] calls would have
+    /// produced. Returns the batch timestamp, or `None` when the queue is
+    /// empty or the head is past `horizon` (a located-but-rejected head
+    /// still advances the cursor).
     fn drain_batch(&mut self, horizon: SimTime, out: &mut Vec<EventKind>) -> Option<SimTime> {
-        if self.len == 0 {
+        let (b, i, ties) = self.locate_min()?;
+        let t = self.buckets[b][i].time;
+        if t > horizon {
             return None;
         }
-        self.pops_since_resize += 1;
-        loop {
-            let (b, i, ties) = self.scan_min_with_ties();
-            // Same skew guard as `locate_min`.
-            if self.buckets[b].len() > 16
-                && self.pops_since_resize > self.len
-                && self.buckets[b].len() > 8 * self.len / self.buckets.len()
-            {
-                self.resize(self.buckets.len());
-                continue;
-            }
-            let t = self.buckets[b][i].time;
-            if t > horizon {
-                return None;
-            }
-            let bucket = &mut self.buckets[b];
-            if ties == 1 {
-                out.push(bucket.swap_remove(i).kind);
-                self.len -= 1;
-            } else {
-                let mut scratch = std::mem::take(&mut self.scratch);
-                scratch.clear();
-                bucket.retain(|e| {
-                    if e.time == t {
-                        scratch.push((e.seq, e.kind));
-                        false
-                    } else {
-                        true
-                    }
-                });
-                self.len -= scratch.len();
-                scratch.sort_unstable_by_key(|&(seq, _)| seq);
-                out.extend(scratch.iter().map(|&(_, kind)| kind));
-                self.scratch = scratch;
-            }
-            // Same shrink trigger as `remove`, applied once per batch.
-            if self.len < self.buckets.len() / 4 && self.buckets.len() > MIN_BUCKETS {
-                self.resize((self.buckets.len() / 2).max(MIN_BUCKETS));
-            }
-            return Some(t);
-        }
-    }
-
-    /// [`Self::scan_min`] variant that additionally counts the entries
-    /// tying the minimum's timestamp. Caller guarantees `len > 0`.
-    fn scan_min_with_ties(&mut self) -> (usize, usize, usize) {
-        let nb = self.buckets.len();
-        let mut day = self.cursor_day;
-        for _ in 0..nb {
-            let b = (day & self.mask) as usize;
-            let mut best: Option<(usize, (SimTime, u64))> = None;
-            let mut ties = 0usize;
-            for (i, e) in self.buckets[b].iter().enumerate() {
-                if self.day_of(e.time) != day {
-                    continue;
+        let bucket = &mut self.buckets[b];
+        if ties == 1 {
+            out.push(bucket.swap_remove(i).kind);
+            self.len -= 1;
+        } else {
+            let mut scratch = std::mem::take(&mut self.scratch);
+            scratch.clear();
+            bucket.retain(|e| {
+                if e.time == t {
+                    scratch.push((e.seq, e.kind));
+                    false
+                } else {
+                    true
                 }
-                match best {
-                    None => {
-                        best = Some((i, e.key()));
-                        ties = 1;
-                    }
-                    Some((_, k)) => {
-                        if e.time < k.0 {
-                            best = Some((i, e.key()));
-                            ties = 1;
-                        } else if e.time == k.0 {
-                            ties += 1;
-                            if e.key() < k {
-                                best = Some((i, e.key()));
-                            }
-                        }
-                    }
-                }
-            }
-            if let Some((i, _)) = best {
-                self.cursor_day = day;
-                return (b, i, ties);
-            }
-            day += 1;
+            });
+            self.len -= scratch.len();
+            scratch.sort_unstable_by_key(|&(seq, _)| seq);
+            out.extend(scratch.iter().map(|&(_, kind)| kind));
+            self.scratch = scratch;
         }
-        // Far-future fallback, as in `scan_min`; the tie recount of the
-        // found bucket is one extra scan on a path pops almost never take.
-        let (b, i) = self.scan_min();
-        let t = self.buckets[b][i].time;
-        let ties = self.buckets[b].iter().filter(|e| e.time == t).count();
-        (b, i, ties)
+        // Once per batch, not once per event.
+        self.shrink_if_sparse();
+        Some(t)
     }
 
     /// Rebuild with `new_nb` buckets, re-picking the bucket width from
@@ -449,24 +320,40 @@ impl CalendarQueue {
     }
 }
 
-enum Backend {
-    Heap(BinaryHeap<Entry>),
-    Calendar(CalendarQueue),
-}
-
-impl std::fmt::Debug for Backend {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Backend::Heap(h) => f.debug_struct("Heap").field("len", &h.len()).finish(),
-            Backend::Calendar(c) => f.debug_struct("Calendar").field("len", &c.len).finish(),
+/// The `(time, seq)` minimum of the entries in `bucket` that pass
+/// `keep`: its index, its key, and how many kept entries share its time.
+#[inline(always)]
+fn bucket_min(
+    bucket: &[Entry],
+    keep: impl Fn(&Entry) -> bool,
+) -> Option<(usize, (SimTime, u64), usize)> {
+    let mut best: Option<(usize, (SimTime, u64))> = None;
+    let mut ties = 0usize;
+    for (i, e) in bucket.iter().enumerate() {
+        if !keep(e) {
+            continue;
+        }
+        match best {
+            Some((_, k)) if e.time > k.0 => {}
+            Some((_, k)) if e.time == k.0 => {
+                ties += 1;
+                if e.seq < k.1 {
+                    best = Some((i, e.key()));
+                }
+            }
+            _ => {
+                best = Some((i, e.key()));
+                ties = 1;
+            }
         }
     }
+    best.map(|(i, k)| (i, k, ties))
 }
 
-/// Deterministic earliest-first event queue over a pluggable backend.
+/// Deterministic earliest-first event queue.
 #[derive(Debug)]
 pub struct EventQueue {
-    backend: Backend,
+    cal: CalendarQueue,
     next_seq: u64,
 }
 
@@ -477,29 +364,11 @@ impl Default for EventQueue {
 }
 
 impl EventQueue {
-    /// A queue on the process default backend (see
-    /// [`SchedulerKind::default_kind`]).
+    /// An empty queue.
     pub fn new() -> Self {
-        EventQueue::with_kind(SchedulerKind::default_kind())
-    }
-
-    /// A queue on an explicit backend.
-    pub fn with_kind(kind: SchedulerKind) -> Self {
-        let backend = match kind {
-            SchedulerKind::Heap => Backend::Heap(BinaryHeap::new()),
-            SchedulerKind::Calendar => Backend::Calendar(CalendarQueue::new()),
-        };
         EventQueue {
-            backend,
+            cal: CalendarQueue::new(),
             next_seq: 0,
-        }
-    }
-
-    /// Which backend this queue runs on.
-    pub fn kind(&self) -> SchedulerKind {
-        match self.backend {
-            Backend::Heap(_) => SchedulerKind::Heap,
-            Backend::Calendar(_) => SchedulerKind::Calendar,
         }
     }
 
@@ -511,49 +380,13 @@ impl EventQueue {
     pub fn schedule(&mut self, time: SimTime, kind: EventKind) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let entry = Entry { time, seq, kind };
-        match &mut self.backend {
-            Backend::Heap(heap) => heap.push(entry),
-            Backend::Calendar(cal) => cal.push(entry),
-        }
+        self.cal.push(Entry { time, seq, kind });
     }
 
     /// Remove and return the earliest event.
     #[inline]
     pub fn pop(&mut self) -> Option<(SimTime, EventKind)> {
-        match &mut self.backend {
-            Backend::Heap(heap) => heap.pop().map(|e| (e.time, e.kind)),
-            Backend::Calendar(cal) => {
-                let pos = cal.locate_min()?;
-                let e = cal.remove(pos);
-                Some((e.time, e.kind))
-            }
-        }
-    }
-
-    /// Remove and return the earliest event if it fires at or before
-    /// `horizon` — the single-pass form of "peek, compare, pop" that
-    /// [`crate::sim::Simulator::run_until`] drives the event loop with.
-    #[inline]
-    pub fn pop_if_at_or_before(&mut self, horizon: SimTime) -> Option<(SimTime, EventKind)> {
-        match &mut self.backend {
-            Backend::Heap(heap) => {
-                if heap.peek().is_some_and(|e| e.time <= horizon) {
-                    heap.pop().map(|e| (e.time, e.kind))
-                } else {
-                    None
-                }
-            }
-            Backend::Calendar(cal) => {
-                let pos = cal.locate_min()?;
-                if cal.buckets[pos.0][pos.1].time > horizon {
-                    None
-                } else {
-                    let e = cal.remove(pos);
-                    Some((e.time, e.kind))
-                }
-            }
-        }
+        self.cal.pop().map(|e| (e.time, e.kind))
     }
 
     /// Remove every event sharing the earliest pending timestamp, if that
@@ -573,16 +406,7 @@ impl EventQueue {
     /// batch dispatch performs no allocation.
     pub fn drain_batch(&mut self, horizon: SimTime, out: &mut Vec<EventKind>) -> Option<SimTime> {
         out.clear();
-        match &mut self.backend {
-            Backend::Heap(heap) => {
-                let t = heap.peek().map(|e| e.time).filter(|&t| t <= horizon)?;
-                while heap.peek().is_some_and(|e| e.time == t) {
-                    out.push(heap.pop().expect("peeked entry exists").kind);
-                }
-                Some(t)
-            }
-            Backend::Calendar(cal) => cal.drain_batch(horizon, out),
-        }
+        self.cal.drain_batch(horizon, out)
     }
 
     /// Total number of events ever scheduled on this queue (the next
@@ -593,24 +417,9 @@ impl EventQueue {
         self.next_seq
     }
 
-    /// Time of the earliest scheduled event. `&mut` because the calendar
-    /// backend advances its day cursor while searching.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        match &mut self.backend {
-            Backend::Heap(heap) => heap.peek().map(|e| e.time),
-            Backend::Calendar(cal) => {
-                let pos = cal.locate_min()?;
-                Some(cal.buckets[pos.0][pos.1].time)
-            }
-        }
-    }
-
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        match &self.backend {
-            Backend::Heap(heap) => heap.len(),
-            Backend::Calendar(cal) => cal.len,
-        }
+        self.cal.len
     }
 
     /// True when no events are pending.
@@ -623,8 +432,6 @@ impl EventQueue {
 mod tests {
     use super::*;
 
-    const KINDS: [SchedulerKind; 2] = [SchedulerKind::Heap, SchedulerKind::Calendar];
-
     fn timer(agent: usize, token: u64) -> EventKind {
         EventKind::AgentTimer {
             agent: AgentId::from_index(agent),
@@ -632,144 +439,53 @@ mod tests {
         }
     }
 
+    fn tokens(q: &mut EventQueue) -> Vec<u64> {
+        std::iter::from_fn(|| q.pop())
+            .map(|(_, k)| match k {
+                EventKind::AgentTimer { token, .. } => token,
+                _ => unreachable!(),
+            })
+            .collect()
+    }
+
     #[test]
     fn entry_is_32_bytes() {
         // 8 (time) + 8 (seq) + 16 (kind): the layout every calendar
-        // bucket and heap slot stores. Growing it costs cache lines on
-        // every schedule and pop.
+        // bucket stores. Growing it costs cache lines on every schedule
+        // and pop.
         assert_eq!(std::mem::size_of::<Entry>(), 32);
     }
 
     #[test]
     fn pops_in_time_order() {
-        for kind in KINDS {
-            let mut q = EventQueue::with_kind(kind);
-            q.schedule(SimTime::from_millis(30), timer(0, 0));
-            q.schedule(SimTime::from_millis(10), timer(0, 1));
-            q.schedule(SimTime::from_millis(20), timer(0, 2));
-            let order: Vec<u64> = std::iter::from_fn(|| q.pop())
-                .map(|(t, _)| t.as_nanos() / 1_000_000)
-                .collect();
-            assert_eq!(order, vec![10, 20, 30], "{kind:?}");
-        }
+        let mut q = EventQueue::new();
+        q.schedule(SimTime::from_millis(30), timer(0, 0));
+        q.schedule(SimTime::from_millis(10), timer(0, 1));
+        q.schedule(SimTime::from_millis(20), timer(0, 2));
+        let order: Vec<u64> = std::iter::from_fn(|| q.pop())
+            .map(|(t, _)| t.as_nanos() / 1_000_000)
+            .collect();
+        assert_eq!(order, vec![10, 20, 30]);
     }
 
     #[test]
     fn ties_break_by_scheduling_order() {
-        for kind in KINDS {
-            let mut q = EventQueue::with_kind(kind);
-            let t = SimTime::from_millis(5);
-            for token in 0..100 {
-                q.schedule(t, timer(0, token));
-            }
-            let tokens: Vec<u64> = std::iter::from_fn(|| q.pop())
-                .map(|(_, k)| match k {
-                    EventKind::AgentTimer { token, .. } => token,
-                    _ => unreachable!(),
-                })
-                .collect();
-            assert_eq!(tokens, (0..100).collect::<Vec<_>>(), "{kind:?}");
+        let mut q = EventQueue::new();
+        let t = SimTime::from_millis(5);
+        for token in 0..100 {
+            q.schedule(t, timer(0, token));
         }
-    }
-
-    #[test]
-    fn peek_time_matches_next_pop() {
-        for kind in KINDS {
-            let mut q = EventQueue::with_kind(kind);
-            assert_eq!(q.peek_time(), None);
-            q.schedule(SimTime::from_secs(2), timer(0, 0));
-            q.schedule(SimTime::from_secs(1), timer(0, 1));
-            assert_eq!(q.peek_time(), Some(SimTime::from_secs(1)), "{kind:?}");
-            q.pop();
-            assert_eq!(q.peek_time(), Some(SimTime::from_secs(2)), "{kind:?}");
-            assert_eq!(q.len(), 1);
-        }
-    }
-
-    #[test]
-    fn pop_if_at_or_before_respects_the_horizon() {
-        for kind in KINDS {
-            let mut q = EventQueue::with_kind(kind);
-            q.schedule(SimTime::from_millis(10), timer(0, 0));
-            q.schedule(SimTime::from_millis(20), timer(0, 1));
-            assert!(
-                q.pop_if_at_or_before(SimTime::from_millis(5)).is_none(),
-                "{kind:?}"
-            );
-            // Inclusive horizon.
-            let (t, _) = q.pop_if_at_or_before(SimTime::from_millis(10)).unwrap();
-            assert_eq!(t, SimTime::from_millis(10));
-            assert!(q.pop_if_at_or_before(SimTime::from_millis(15)).is_none());
-            assert_eq!(q.len(), 1);
-            let (t, _) = q.pop_if_at_or_before(SimTime::from_secs(1)).unwrap();
-            assert_eq!(t, SimTime::from_millis(20));
-            assert!(q.pop_if_at_or_before(SimTime::from_secs(9)).is_none());
-        }
+        assert_eq!(tokens(&mut q), (0..100).collect::<Vec<_>>());
     }
 
     #[test]
     fn far_future_events_pop_correctly() {
         // Events many "years" past the calendar cursor exercise the
         // overflow fallback scan.
-        for kind in KINDS {
-            let mut q = EventQueue::with_kind(kind);
-            q.schedule(SimTime::from_nanos(5), timer(0, 0));
-            q.schedule(SimTime::from_secs(3600), timer(0, 1));
-            q.schedule(SimTime::from_secs(7200), timer(0, 2));
-            let tokens: Vec<u64> = std::iter::from_fn(|| q.pop())
-                .map(|(_, k)| match k {
-                    EventKind::AgentTimer { token, .. } => token,
-                    _ => unreachable!(),
-                })
-                .collect();
-            assert_eq!(tokens, vec![0, 1, 2], "{kind:?}");
-        }
-    }
-
-    #[test]
-    fn interleaved_schedule_and_pop_stays_sorted() {
-        // Deterministic pseudo-random churn big enough to force the
-        // calendar through several grow and shrink resizes.
-        for kind in KINDS {
-            let mut q = EventQueue::with_kind(kind);
-            let mut state = 0x9E3779B97F4A7C15u64;
-            let mut rand = move || {
-                state ^= state << 13;
-                state ^= state >> 7;
-                state ^= state << 17;
-                state
-            };
-            let mut last = None;
-            let mut pending = 0i64;
-            for i in 0..200_000u64 {
-                if pending == 0 || rand() % 3 != 0 {
-                    q.schedule(SimTime::from_nanos(rand() % 50_000_000), timer(0, i));
-                    pending += 1;
-                } else {
-                    let (t, _) = q.pop().unwrap();
-                    pending -= 1;
-                    if let Some(prev) = last {
-                        // Pops within one drain phase are non-decreasing
-                        // only relative to what is still pending; a full
-                        // ordering check happens in the drain below.
-                        let _ = prev;
-                    }
-                    last = Some(t);
-                }
-            }
-            let mut drained: Vec<(SimTime, u64)> = Vec::new();
-            while let Some((t, k)) = q.pop() {
-                let token = match k {
-                    EventKind::AgentTimer { token, .. } => token,
-                    _ => unreachable!(),
-                };
-                drained.push((t, token));
-            }
-            assert_eq!(drained.len(), pending as usize, "{kind:?}");
-            assert!(
-                drained.windows(2).all(|w| w[0].0 <= w[1].0),
-                "{kind:?} drain out of order"
-            );
-        }
+        let mut q = EventQueue::new();
+        q.schedule(SimTime::from_nanos(5), timer(0, 0));
+        q.schedule(SimTime::from_secs(3600), timer(0, 1));
+        q.schedule(SimTime::from_secs(7200), timer(0, 2));
+        assert_eq!(tokens(&mut q), vec![0, 1, 2]);
     }
 }

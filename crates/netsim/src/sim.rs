@@ -33,7 +33,7 @@ use rand::SeedableRng;
 
 use crate::audit::{self, AuditMode, AuditReport, Auditor};
 use crate::budget::{self, Budget, BudgetState};
-use crate::event::{EventKind, EventQueue, SchedulerKind};
+use crate::event::{EventKind, EventQueue};
 use crate::ids::{AgentId, FlowId, LinkId, NodeId};
 use crate::link::Link;
 use crate::node::Node;
@@ -431,8 +431,7 @@ pub struct Simulator {
 pub const DEFAULT_STATS_BIN: SimDuration = SimDuration::from_millis(10);
 
 impl Simulator {
-    /// A fresh simulator with the given RNG seed, on the process default
-    /// event scheduler (see [`SchedulerKind::default_kind`]).
+    /// A fresh simulator with the given RNG seed.
     pub fn new(seed: u64) -> Self {
         Simulator::with_stats_bin(seed, DEFAULT_STATS_BIN)
     }
@@ -506,11 +505,6 @@ impl Simulator {
         let report = self.world.audit_teardown(&mut auditor);
         audit::merge_global(&report);
         Some(report)
-    }
-
-    /// Which event-scheduler backend this simulator runs on.
-    pub fn scheduler_kind(&self) -> SchedulerKind {
-        self.world.queue.kind()
     }
 
     /// Number of events dispatched so far: everything ever scheduled
@@ -671,19 +665,6 @@ impl Simulator {
         if self.world.now < until {
             self.world.now = until;
         }
-    }
-
-    /// Process a single event, with the audit pool cross-check at
-    /// per-event granularity. Returns `false` when the queue is empty.
-    pub fn step(&mut self) -> bool {
-        let Some((time, kind)) = self.world.queue.pop() else {
-            return false;
-        };
-        debug_assert!(time >= self.world.now, "event queue went backwards");
-        self.world.now = time;
-        self.dispatch_event(kind);
-        self.world.check_pool();
-        true
     }
 
     /// Immutable access to an installed agent, for post-run inspection.

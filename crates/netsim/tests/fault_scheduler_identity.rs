@@ -1,15 +1,13 @@
-//! Faulted runs must be byte-identical across scheduler backends.
+//! Faulted runs must replay byte-identically.
 //!
 //! The fault layer re-enters packets through the event queue
 //! (`FaultRelease` for holds and duplicates), so its determinism contract
-//! leans directly on the `(time, seq)` tie-break both backends share.
-//! This lives in its own test binary because `set_default_scheduler` is
-//! process-global: integration tests in other binaries run concurrently
-//! and must not see the override flip underneath them.
+//! leans directly on the scheduler's `(time, seq)` tie-break: the same
+//! `(plan, seed)` must give the same delivery order and statistics on
+//! every run, traced or not.
 
 use std::sync::{Arc, Mutex};
 
-use slowcc_netsim::event::{set_default_scheduler, SchedulerKind};
 use slowcc_netsim::faults::FaultPlan;
 use slowcc_netsim::ids::{AgentId, FlowId, LinkId, NodeId};
 use slowcc_netsim::link::Link;
@@ -20,16 +18,6 @@ use slowcc_netsim::stats::Stats;
 use slowcc_netsim::time::{SimDuration, SimTime};
 use slowcc_netsim::topology::{DumbbellConfig, DumbbellOptions, ParkingLot};
 use slowcc_netsim::trace::VecTrace;
-
-/// Restore the process default on drop, so a failing assertion can't
-/// leak the override into other binaries (this binary has one test, but
-/// the discipline is cheap).
-struct Restore;
-impl Drop for Restore {
-    fn drop(&mut self) {
-        set_default_scheduler(None);
-    }
-}
 
 struct Paced {
     flow: FlowId,
@@ -88,8 +76,8 @@ fn stats_fingerprint(stats: &Stats, flows: &[FlowId], links: &[LinkId]) -> Strin
     out
 }
 
-/// Run the full fault menu (reorder + duplication + jitter + flap) on the
-/// current default scheduler and return a byte-comparable transcript.
+/// Run the full fault menu (reorder + duplication + jitter + flap) and
+/// return a byte-comparable transcript.
 /// `traced` additionally captures the full packet trace.
 fn run_chaotic(seed: u64, traced: bool) -> (Option<String>, Vec<u64>, String) {
     let plan = FaultPlan::seeded(seed ^ 0xC0FFEE)
@@ -193,46 +181,36 @@ fn run_parking_lot(seed: u64) -> (Vec<u64>, String) {
 }
 
 #[test]
-fn faulted_runs_are_identical_across_schedulers() {
-    let _restore = Restore;
-
-    // Traced and untraced runs on both backends: the full packet trace
-    // must match across schedulers, and installing the trace sink must
-    // not perturb the delivery order or the statistics.
+fn faulted_runs_are_identical_traced_and_untraced() {
+    // Two traced runs must agree on the full packet trace, and
+    // installing the trace sink must not perturb the delivery order or
+    // the statistics.
     for seed in [1u64, 17, 99] {
-        set_default_scheduler(Some(SchedulerKind::Heap));
-        let heap = run_chaotic(seed, true);
-        let reference = (None, heap.1.clone(), heap.2.clone());
-        set_default_scheduler(Some(SchedulerKind::Calendar));
-        let calendar = run_chaotic(seed, true);
+        let traced = run_chaotic(seed, true);
         assert_eq!(
-            heap, calendar,
-            "seed {seed}: fault-layer transcript diverged between schedulers"
+            traced,
+            run_chaotic(seed, true),
+            "seed {seed}: fault-layer transcript diverged between runs"
         );
-        for sched in [SchedulerKind::Heap, SchedulerKind::Calendar] {
-            set_default_scheduler(Some(sched));
-            assert_eq!(
-                run_chaotic(seed, false),
-                reference,
-                "seed {seed}: untraced {sched:?} run diverged from the traced one"
-            );
-        }
+        assert_eq!(
+            run_chaotic(seed, false),
+            (None, traced.1, traced.2),
+            "seed {seed}: untraced run diverged from the traced one"
+        );
     }
 
     // Multi-hop routes: fault releases on the first hop of a three-hop
-    // parking lot must order identically on both backends.
+    // parking lot must order identically on every run.
     for seed in [5u64, 23] {
-        set_default_scheduler(Some(SchedulerKind::Heap));
-        let heap = run_parking_lot(seed);
-        set_default_scheduler(Some(SchedulerKind::Calendar));
-        let calendar = run_parking_lot(seed);
+        let first = run_parking_lot(seed);
         assert!(
-            !heap.0.is_empty(),
+            !first.0.is_empty(),
             "seed {seed}: parking lot delivered nothing"
         );
         assert_eq!(
-            heap, calendar,
-            "seed {seed}: heap and calendar diverged on the parking lot"
+            first,
+            run_parking_lot(seed),
+            "seed {seed}: parking lot diverged between runs"
         );
     }
 }
